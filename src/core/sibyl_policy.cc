@@ -47,7 +47,6 @@ makeAgentConfig(const SibylConfig &cfg, std::uint32_t stateDim,
     ac.bufferCapacity = cfg.bufferCapacity;
     ac.targetSyncEvery = cfg.targetSyncEvery;
     ac.trainEvery = cfg.trainEvery;
-    ac.asyncTraining = cfg.asyncTraining;
     ac.hidden = cfg.hidden;
     ac.prioritizedReplay = cfg.prioritizedReplay;
     ac.doubleDqn = cfg.doubleDqn;
@@ -95,11 +94,6 @@ SibylPolicy::SibylPolicy(const SibylConfig &cfg, std::uint32_t numDevices,
       encoder_(cfg.features, numDevices),
       reward_(cfg.reward)
 {
-    if (cfg_.asyncTraining && cfg_.guardrail.enabled)
-        throw std::invalid_argument(
-            "SibylPolicy: asyncTraining is incompatible with the "
-            "guardrail (its loss monitor reads training stats that "
-            "async rounds publish only at their commit points)");
     agent_ = makeAgent(cfg_, encoder_.dimension(), numDevices_);
     if (cfg_.guardrail.enabled) {
         guardrail_ = std::make_unique<rl::Guardrail>(cfg_.guardrail);
@@ -117,11 +111,10 @@ SibylPolicy::c51()
     return *a;
 }
 
-ml::Network *
-SibylPolicy::selectPlacementBegin(const hss::HybridSystem &sys,
-                                  const trace::Request &req,
-                                  std::size_t reqIndex, DeviceId &action,
-                                  const float **obsRow)
+DeviceId
+SibylPolicy::selectPlacement(const hss::HybridSystem &sys,
+                             const trace::Request &req,
+                             std::size_t reqIndex)
 {
     // During a guardrail fallback window the heuristic serves the
     // request and training stays frozen (no transitions reach the
@@ -129,8 +122,7 @@ SibylPolicy::selectPlacementBegin(const hss::HybridSystem &sys,
     // request once the cool-down elapses.
     if (guardrail_ && guardrail_->inFallback()) {
         guardrail_->fallbackTick();
-        action = fallback_->selectPlacement(sys, req, reqIndex);
-        return nullptr;
+        return fallback_->selectPlacement(sys, req, reqIndex);
     }
     (void)reqIndex;
     // Thread the serving layer's device-health mask into the agent so
@@ -163,27 +155,7 @@ SibylPolicy::selectPlacementBegin(const hss::HybridSystem &sys,
                                   pendingReward_, obs_);
     }
 
-    std::uint32_t a = 0;
-    if (agent_->selectActionBegin(obs_, a)) {
-        action = finishDecision(a);
-        return nullptr;
-    }
-    // Greedy decision: hand the caller the encoded observation (obs_
-    // stays untouched until the row is evaluated — finishDecision only
-    // swaps it away in FromRow) and the network to evaluate it on.
-    *obsRow = obs_.data();
-    return agent_->batchNetwork();
-}
-
-DeviceId
-SibylPolicy::selectPlacementFromRow(const float *row)
-{
-    return finishDecision(agent_->selectActionFromRow(row));
-}
-
-DeviceId
-SibylPolicy::finishDecision(std::uint32_t action)
-{
+    std::uint32_t action = agent_->selectAction(obs_);
     pendingState_.swap(obs_); // keep O_t without copying or freeing
     pendingAction_ = action;
     pendingReward_ = 0.0f;
@@ -196,34 +168,6 @@ SibylPolicy::finishDecision(std::uint32_t action)
             tripGuardrail(reason);
     }
     return static_cast<DeviceId>(action);
-}
-
-DeviceId
-SibylPolicy::selectPlacement(const hss::HybridSystem &sys,
-                             const trace::Request &req,
-                             std::size_t reqIndex)
-{
-    DeviceId action{};
-    const float *row = nullptr;
-    ml::Network *net =
-        selectPlacementBegin(sys, req, reqIndex, action, &row);
-    if (!net)
-        return action;
-    return selectPlacementFromRow(net->inferRow(row));
-}
-
-void
-SibylPolicy::setTrainingExecutor(
-    std::function<void(std::function<void()>)> exec)
-{
-    trainExec_ = std::move(exec);
-    agent_->setTrainingExecutor(trainExec_);
-}
-
-void
-SibylPolicy::finishTraining()
-{
-    agent_->finishTraining();
 }
 
 void
@@ -267,8 +211,6 @@ SibylPolicy::reset()
     pendingValid_ = false;
     completedTransitions_ = 0;
     agent_ = makeAgent(cfg_, encoder_.dimension(), numDevices_);
-    if (trainExec_)
-        agent_->setTrainingExecutor(trainExec_);
     if (cfg_.guardrail.enabled) {
         guardrail_ = std::make_unique<rl::Guardrail>(cfg_.guardrail);
         fallback_ = makeFallbackPolicy(cfg_.guardrail.fallback);

@@ -146,8 +146,9 @@ HybridSystem::advanceTo(SimTime now)
             mask |= 1u << d;
     }
     if (mask == 0)
-        panic("HybridSystem: no healthy device remains at t=" +
-              std::to_string(now) + "us — cannot serve");
+        throw TotalOutageError(
+            "HybridSystem: total outage, no healthy device remains at t=" +
+            std::to_string(now) + "us — cannot serve");
     placementMask_ = mask;
     // Drain after the mask is current so the rebuild target selection
     // and any cascading evictions see this instant's health.

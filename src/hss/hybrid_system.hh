@@ -15,6 +15,7 @@
 
 #include <functional>
 #include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include "device/block_device.hh"
@@ -23,6 +24,15 @@
 
 namespace sibyl::hss
 {
+
+/** Every device of the stack has failed, so no request can be placed.
+ *  Thrown by HybridSystem::advanceTo(); a run that hits it ends as a
+ *  failed run record instead of aborting the process. */
+class TotalOutageError : public std::runtime_error
+{
+  public:
+    using std::runtime_error::runtime_error;
+};
 
 /** Outcome of serving one request — everything a policy can observe. */
 struct ServeResult
@@ -154,6 +164,9 @@ class HybridSystem
      * their residents to a healthy tier. serve() calls this itself; the
      * simulator also calls it before each decision so policies observe
      * a fresh mask. No-op when hard faults are unarmed.
+     *
+     * @throws TotalOutageError when no device accepts placements at
+     *         @p now.
      */
     void advanceTo(SimTime now);
 

@@ -61,21 +61,13 @@ DenseLayer::inferRow(const float *in, float *out)
     // agree only to tolerance; batched rows remain composition-
     // independent among themselves, which the training-target caches
     // rely on.)
-    const std::size_t n = outSize();
-    rowPre_.resize(n);
-    inferRowPreAct(in, rowPre_.data());
-    activate(act_, rowPre_.data(), out, n);
-}
-
-void
-DenseLayer::inferRowPreAct(const float *in, float *out)
-{
     ensureWeightsT();
     const std::size_t n = outSize();
-    std::fill(out, out + n, 0.0f);
-    weightsT_.mulAddRow(in, out);
+    rowPre_.assign(n, 0.0f);
+    weightsT_.mulAddRow(in, rowPre_.data());
     for (std::size_t j = 0; j < n; j++)
-        out[j] += bias_[j];
+        rowPre_[j] += bias_[j];
+    activate(act_, rowPre_.data(), out, n);
 }
 
 void

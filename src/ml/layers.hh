@@ -53,20 +53,6 @@ class DenseLayer
     void inferRow(const float *in, float *out);
 
     /**
-     * Pre-activation half of inferRow(): out[0..outSize) = W in + b
-     * via the same zero-seeded sequential-order accumulate (so a later
-     * elementwise activation sweep over @p out reproduces inferRow()
-     * bit-for-bit). Writes into caller storage and touches no member
-     * scratch — this is what lets the fleet's cross-tenant decision
-     * batches gather many networks' rows into one group matrix and
-     * activate them in a single pass (see ml::inferRowBatch).
-     *
-     * @param in  inSize() floats.
-     * @param out outSize() floats (may not alias @p in).
-     */
-    void inferRowPreAct(const float *in, float *out);
-
-    /**
      * Backpropagate @p gradOut (dL/d out) through the cached sample,
      * accumulating parameter gradients and producing @p gradIn (dL/d in).
      */

@@ -21,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "common/rng.hh"
 #include "scenario/scenario_spec.hh"
 #include "sim/fleet.hh"
 #include "sim/parallel_runner.hh"
@@ -104,6 +105,67 @@ TEST(TraceMultiplexer, EmptyTenantsAndNullRejection)
 
     EXPECT_THROW(trace::TraceMultiplexer({&one, nullptr}),
                  std::invalid_argument);
+}
+
+/** The pre-heap reference merge: linear head scan, lowest timestamp,
+ *  ties to the lowest tenant id. */
+std::vector<trace::TraceMultiplexer::Entry>
+referenceLinearMerge(const std::vector<const trace::Trace *> &tenants)
+{
+    std::size_t total = 0;
+    for (const trace::Trace *t : tenants)
+        total += t->size();
+    std::vector<trace::TraceMultiplexer::Entry> out;
+    std::vector<std::size_t> cursor(tenants.size(), 0);
+    for (std::size_t filled = 0; filled < total; filled++) {
+        std::size_t best = tenants.size();
+        SimTime bestTime = 0.0;
+        for (std::size_t t = 0; t < tenants.size(); t++) {
+            if (cursor[t] >= tenants[t]->size())
+                continue;
+            SimTime ts = (*tenants[t])[cursor[t]].timestamp;
+            if (best == tenants.size() || ts < bestTime) {
+                best = t;
+                bestTime = ts;
+            }
+        }
+        out.push_back({static_cast<std::uint32_t>(best),
+                       static_cast<std::uint32_t>(cursor[best])});
+        cursor[best]++;
+    }
+    return out;
+}
+
+TEST(TraceMultiplexerHeap, MatchesReferenceMergeAtScale)
+{
+    // ~40 tenants with deliberately colliding timestamps (coarse grid)
+    // and non-monotone streams: the indexed min-heap must reproduce
+    // the linear reference scan slot for slot, including every
+    // tie-to-lower-tenant-id resolution.
+    Pcg32 rng(0x4EA9);
+    std::vector<trace::Trace> traces(41);
+    for (std::size_t t = 0; t < traces.size(); t++) {
+        const std::size_t len = rng.nextBounded(30); // some empty
+        for (std::size_t i = 0; i < len; i++) {
+            trace::Request r;
+            // Grid timestamps force cross-tenant ties; occasional
+            // backward jumps exercise the non-monotone rule.
+            r.timestamp = static_cast<double>(rng.nextBounded(12)) * 5.0;
+            r.page = static_cast<PageId>(t * 1000 + i);
+            traces[t].add(r);
+        }
+    }
+    std::vector<const trace::Trace *> views;
+    for (const auto &t : traces)
+        views.push_back(&t);
+
+    const auto want = referenceLinearMerge(views);
+    const trace::TraceMultiplexer mux(views);
+    ASSERT_EQ(mux.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); i++) {
+        ASSERT_EQ(mux[i].tenant, want[i].tenant) << "slot " << i;
+        ASSERT_EQ(mux[i].index, want[i].index) << "slot " << i;
+    }
 }
 
 // --------------------------- fleet runs ------------------------------
@@ -405,6 +467,18 @@ TEST(FleetScenario, ValidationErrors)
         "name": "x",
         "fleet": [{"workload": "prxy_1", "bogus": 1}]})"),
                  std::invalid_argument);
+    // The removed "fleetServing" key fails loudly, naming the key.
+    try {
+        scenario::parseScenarioJson(R"({
+            "name": "x",
+            "fleet": [{"workload": "prxy_1"}],
+            "fleetServing": {"batched": true}})");
+        FAIL() << "expected invalid_argument";
+    } catch (const std::invalid_argument &e) {
+        const std::string msg = e.what();
+        EXPECT_NE(msg.find("fleetServing"), std::string::npos) << msg;
+        EXPECT_NE(msg.find("removed"), std::string::npos) << msg;
+    }
     // Unresolvable tenant policy surfaces at expand().
     const auto spec = scenario::parseScenarioJson(R"({
         "name": "x",

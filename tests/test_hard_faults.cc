@@ -6,7 +6,8 @@
  * placement and failover through HybridSystem::serve, drain/rebuild
  * semantics, the no-op guarantee (armed-but-never-firing machinery is
  * bit-identical to the seed), thread-count invariance of a faulted
- * run, and fleet tenant isolation under one tenant's device failure.
+ * run, a total outage ending as a failed run record, and fleet tenant
+ * isolation under one tenant's device failure.
  */
 
 #include <gtest/gtest.h>
@@ -509,6 +510,55 @@ TEST(HardFaultDeterminism, FaultCountersSurfaceInResultsJson)
     sim::writeResultsJson(cs, clean);
     EXPECT_EQ(cs.str().find("maskedPlacements"), std::string::npos);
     EXPECT_EQ(cs.str().find("faultErroredOps"), std::string::npos);
+}
+
+TEST(HardFaultDeterminism, TotalOutageIsAFailedRunNotAnAbort)
+{
+    // Both devices of an H&M stack fail mid-run, so no placement is
+    // possible. The run must end as a structured failed record naming
+    // the outage — not abort the process — and a fault-free sibling in
+    // the same batch must stay bit-exact to running it alone.
+    scenario::ScenarioSpec sc;
+    sc.name = "total-outage";
+    sc.policies = {"CDE", "HPS"};
+    sc.workloads = {"rsrch_0"};
+    sc.hssConfigs = {"H&M"};
+    sc.traceLen = 2000;
+    scenario::DeviceOverride fast, slow;
+    fast.device = 0;
+    fast.failAtUs = 3000.0;
+    slow.device = 1;
+    slow.failAtUs = 5000.0;
+    sc.deviceOverrides = {fast, slow};
+
+    auto clean = baseSpec("CDE");
+    clean.traceLen = 2000;
+    std::vector<sim::RunSpec> specs = sc.expand();
+    ASSERT_EQ(specs.size(), 2u);
+    specs.push_back(clean);
+
+    sim::ParallelRunner runner;
+    const auto batch = runner.runAll(specs);
+    ASSERT_EQ(batch.size(), 3u);
+    for (std::size_t i = 0; i < 2; i++) {
+        SCOPED_TRACE(batch[i].spec.policy);
+        EXPECT_TRUE(batch[i].failed());
+        EXPECT_NE(batch[i].error.find("total outage"), std::string::npos)
+            << batch[i].error;
+    }
+
+    const auto alone = runner.runAll({clean});
+    ASSERT_EQ(alone.size(), 1u);
+    expectMetricsIdentical(batch[2], alone[0]);
+    std::ostringstream a, b;
+    sim::writeResultsJson(a, {batch[2]});
+    sim::writeResultsJson(b, alone);
+    EXPECT_EQ(a.str(), b.str());
+
+    // The failed records serialize too, with their error string.
+    std::ostringstream all;
+    sim::writeResultsJson(all, batch);
+    EXPECT_NE(all.str().find("total outage"), std::string::npos);
 }
 
 // ----------------------- wear-out chaos twin ---------------------------

@@ -158,6 +158,8 @@ TEST(PolicyFactory, ErrorsAreDiagnosable)
     }
     EXPECT_THROW(f.make("Sibyl{noSuchKnob=1}", 2),
                  std::invalid_argument);
+    EXPECT_THROW(f.make("Sibyl{asyncTraining=1}", 2),
+                 std::invalid_argument);
     EXPECT_THROW(f.make("Sibyl{gamma=abc}", 2), std::invalid_argument);
     EXPECT_THROW(f.make("CDE{gamma=0.5}", 2), std::invalid_argument);
     EXPECT_THROW(f.make("Oracle{x=1}", 2), std::invalid_argument);
